@@ -47,6 +47,14 @@
 //!   are never re-walked, and budget changes replay only the boundary of
 //!   the previous fixpoint (ascend on freed capacity, descend on lost
 //!   capacity);
+//! * a changed shard is **re-seated**, not re-climbed: its walk is rebuilt
+//!   at the stability floor under the new network (in place — no
+//!   allocation) and walked forward locally to as many executors as it
+//!   held before, always taking its own best step. Under α-smoothing most
+//!   of a large fleet's shards keep changing bitwise for dozens of windows
+//!   after a load shift while their greedy order barely moves, so the
+//!   global heaps then move only the few executors whose rank across
+//!   shards actually shifted;
 //! * the warm path ([`FleetNegotiator::negotiate_within_incremental`])
 //!   is *observationally identical* to the retained from-scratch
 //!   reference ([`FleetNegotiator::negotiate_within`]) — same grants,
@@ -417,8 +425,8 @@ struct SlotState {
     /// Slot stamp (drawn from the negotiator's global counter on rebuild,
     /// so entries of a removed-then-replaced slot can never revive).
     generation: u64,
-    /// The walk no longer matches `demand` (it changed while the fleet was
-    /// uncontended, or the slot is new); rebuilt at the floor on the next
+    /// The walk no longer matches `demand` (it changed, or the slot is
+    /// new); re-seated by `FleetNegotiator::rebuild_slot` on the next
     /// contended window.
     walk_stale: bool,
     /// The published grant no longer matches the warm state; rewritten
@@ -505,6 +513,9 @@ pub struct FleetNegotiator {
     /// `SlotState::grant_dirty`; survives an errored call so no rewrite is
     /// ever lost).
     touched: Vec<u32>,
+    /// Global take/revoke steps the fix-up has run (cumulative) — what the
+    /// warm re-seat of changed slots exists to keep small.
+    fixup_moves: u64,
 }
 
 impl FleetNegotiator {
@@ -523,6 +534,7 @@ impl FleetNegotiator {
             stamp: 0,
             mode: NegotiationMode::Initial,
             touched: Vec::new(),
+            fixup_moves: 0,
         }
     }
 
@@ -706,10 +718,12 @@ impl FleetNegotiator {
     /// 1. **diffs** each slot's demand against the cached one (bitwise —
     ///    `demand_bits_equal`); unchanged slots are not touched at all;
     /// 2. re-derives floors/desires for changed slots and, on a contended
-    ///    window, **rebuilds** their reversible [`NetworkSojourn`] walk at
-    ///    the stability floor (changed rates invalidate the carried
-    ///    Erlang-B history; unchanged slots keep their walk parked at the
-    ///    previous grant);
+    ///    window, **re-seats** them: the reversible [`NetworkSojourn`] walk
+    ///    is rebuilt at the stability floor (changed rates invalidate the
+    ///    carried Erlang-B history) and walked forward locally, best own
+    ///    step first, to the slot's previous executor count (clamped to its
+    ///    new cap). Unchanged slots keep their walk parked at the previous
+    ///    grant;
     /// 3. **fixes up** the warm equilibrium: revoke the globally weakest
     ///    taken step (via [`NetworkSojourn::decrement`] — the O(1)
     ///    step-down machinery) while over the spend target, take the
@@ -719,10 +733,13 @@ impl FleetNegotiator {
     ///
     /// The fix-up terminates at the unique greedy equilibrium: per-op δ
     /// streams are monotone (prefix-min clamped, matching the from-scratch
-    /// successor clamp), so the final state is fully characterized by "no
+    /// successor clamp), and every slot holds the top of its own δ streams
+    /// (the re-seat walks each slot greedily, and global takes and revokes
+    /// keep that shape), so the final state is fully characterized by "no
     /// frontier step outranks a taken step" plus the per-shard caps — the
     /// same state the cold heap run reaches, independent of the warm
-    /// starting position.
+    /// starting position. A re-seat at the previous executor count leaves
+    /// the fix-up only the executors whose rank across slots shifted.
     ///
     /// # Errors
     ///
@@ -935,54 +952,67 @@ impl FleetNegotiator {
         Ok(())
     }
 
-    /// Rebuilds slot `i`'s walk at its stability floor under the cached
-    /// demand, invalidating every heap entry it ever pushed (fresh
-    /// generation) and re-entering its frontier steps.
+    /// Re-seats slot `i` under its cached (changed) demand, invalidating
+    /// every heap entry it ever pushed (fresh generation).
+    ///
+    /// The walk is rebuilt at the stability floor — changed rates
+    /// invalidate the carried Erlang-B history — in place, reusing its
+    /// buffers. It is then walked forward *locally* for as many steps as
+    /// the slot held before (clamped to its new demand cap), each step
+    /// taking the op with the largest effective frontier δ, ties to the
+    /// smaller op: the [`Ascend`] order restricted to one slot. The slot
+    /// thus holds the top of its own δ streams, the same shape every
+    /// global take/revoke preserves, so the fix-up in
+    /// [`FleetNegotiator::negotiate_within_incremental`] only moves the
+    /// executors whose rank across slots actually shifted instead of
+    /// re-climbing the whole slot through the global heaps. Finally the
+    /// slot's frontier steps (unless it sits at its cap) and weakest taken
+    /// steps enter the heaps, one of each per op.
     fn rebuild_slot(&mut self, i: usize) {
         let generation = self.stamp;
         self.stamp += 1;
-        let (ops, cap) = {
-            let slot = &mut self.slots[i];
-            self.sum_taken -= slot.taken_total;
-            slot.taken_total = 0;
-            let ops = slot.demand.network.len();
-            for stack in &mut slot.taken {
-                stack.clear();
+        let slot = &mut self.slots[i];
+        let ops = slot.demand.network.len();
+        const FLOOR_FITS: &str = "floor allocation length matches the network";
+        match &mut slot.walk {
+            Some(walk) => walk
+                .reset_reversible(&slot.demand.network, &slot.floor)
+                .expect(FLOOR_FITS),
+            None => {
+                slot.walk = Some(
+                    NetworkSojourn::reversible(&slot.demand.network, &slot.floor)
+                        .expect(FLOOR_FITS),
+                );
             }
-            slot.taken.resize_with(ops, Vec::new);
-            slot.op_seq.clear();
-            slot.op_seq.resize(ops, 0);
-            slot.generation = generation;
-            slot.walk = Some(
-                NetworkSojourn::reversible(&slot.demand.network, &slot.floor)
-                    .expect("floor allocation length matches the network"),
-            );
-            slot.walk_stale = false;
-            let cap = slot.cap();
-            slot.parked = cap == 0;
-            (ops, cap)
-        };
-        if !self.slots[i].grant_dirty {
-            self.slots[i].grant_dirty = true;
-            self.touched.push(i as u32);
         }
-        if cap > 0 {
-            for op in 0..ops {
-                let delta = {
-                    let slot = &self.slots[i];
-                    slot.walk
-                        .as_ref()
-                        .expect("just built")
-                        .weighted_marginal_benefit(op)
-                };
-                self.ascent.push(Ascend(WarmEntry {
-                    delta,
-                    slot: i as u32,
-                    op: op as u32,
-                    generation,
-                    seq: 0,
-                }));
+        for stack in &mut slot.taken {
+            stack.clear();
+        }
+        slot.taken.resize_with(ops, Vec::new);
+        slot.op_seq.clear();
+        slot.op_seq.resize(ops, 0);
+        slot.generation = generation;
+        slot.walk_stale = false;
+        let steps = slot.taken_total.min(slot.cap());
+        for _ in 0..steps {
+            let mut best = 0;
+            let mut best_delta = slot.frontier_eff(0);
+            for op in 1..ops {
+                let delta = slot.frontier_eff(op);
+                if delta.total_cmp(&best_delta).is_gt() {
+                    best = op;
+                    best_delta = delta;
+                }
             }
+            slot.walk.as_mut().expect("just built").increment(best);
+            slot.taken[best].push(best_delta);
+        }
+        self.sum_taken = self.sum_taken - slot.taken_total + steps;
+        slot.taken_total = steps;
+        slot.parked = steps >= slot.cap();
+        self.mark_touched(i);
+        for op in 0..ops {
+            self.refresh_op(i, op);
         }
     }
 
@@ -1030,9 +1060,10 @@ impl FleetNegotiator {
         }
     }
 
-    /// After slot `i`'s op moved (or re-entered): stamp a fresh sequence
-    /// number — staling both of the op's old heap entries — and push its
-    /// current frontier step and (if any step is held) weakest taken step.
+    /// After slot `i`'s op moved (or re-entered) under a fresh sequence
+    /// number — which stales both of the op's old heap entries — push its
+    /// current frontier step (unless the slot is parked) and, if any step
+    /// is held, its weakest taken step.
     fn refresh_op(&mut self, i: usize, op: usize) {
         let slot = &self.slots[i];
         let entry = WarmEntry {
@@ -1042,7 +1073,9 @@ impl FleetNegotiator {
             generation: slot.generation,
             seq: slot.op_seq[op],
         };
-        self.ascent.push(Ascend(entry));
+        if !slot.parked {
+            self.ascent.push(Ascend(entry));
+        }
         if let Some(&top) = slot.taken[op].last() {
             self.descent.push(Descend(WarmEntry {
                 delta: top,
@@ -1066,6 +1099,7 @@ impl FleetNegotiator {
             return false;
         };
         self.ascent.pop();
+        self.fixup_moves += 1;
         let i = e.slot as usize;
         let op = e.op as usize;
         {
@@ -1090,6 +1124,7 @@ impl FleetNegotiator {
             .clean_descent_top()
             .expect("taken steps outstanding imply a live descent top");
         self.descent.pop();
+        self.fixup_moves += 1;
         let i = e.slot as usize;
         let op = e.op as usize;
         let was_at_cap = {
@@ -1505,9 +1540,11 @@ struct ShardState<B> {
     placement: Option<Placement>,
     /// Reused buffer for this shard's raw sample (fed to the measurer).
     raw: RawSample,
-    /// [`Measurer::epoch`] at the last model refit; `u64::MAX` forces one.
-    /// While the epoch stands still the cached `demand`/`demand_error`
-    /// below are authoritative and the (allocating) refit is skipped.
+    /// [`Measurer::rates_epoch`] at the last model refit; `u64::MAX`
+    /// forces one. While the epoch stands still the cached
+    /// `demand`/`demand_error` below are authoritative and the (allocating)
+    /// refit is skipped — a sojourn-only move leaves the model inputs, and
+    /// so the demand, bitwise unchanged.
     demand_epoch: u64,
     /// The demand fitted at `demand_epoch` (`None`: no usable model).
     demand: Option<ShardDemand>,
@@ -2050,8 +2087,8 @@ impl<B: CspBackend> FleetDriver<B> {
 
         if window >= self.config.warmup_windows {
             // 3. Each shard's own single-topology demand. The (allocating)
-            //    model refit runs only when the shard's smoothed estimates
-            //    actually moved (`Measurer::epoch`); a steady shard reuses
+            //    model refit runs only when the shard's smoothed rates
+            //    actually moved (`Measurer::rates_epoch`); a steady shard reuses
             //    its cached fit, which also hands the negotiator a
             //    bitwise-identical demand — its no-op fast path. A dead
             //    shard submits none: its (stale) model must not keep
@@ -2064,7 +2101,7 @@ impl<B: CspBackend> FleetDriver<B> {
                     shard.demand_error = None;
                     continue;
                 }
-                let epoch = shard.measurer.epoch();
+                let epoch = shard.measurer.rates_epoch();
                 if epoch != shard.demand_epoch {
                     shard.demand_epoch = epoch;
                     shard.demand_error = None;
@@ -2893,6 +2930,74 @@ mod tests {
         assert_eq!(a, b);
     }
 
+    #[test]
+    fn nudged_slots_are_reseated_without_reclimbing_the_global_heaps() {
+        // A contended fleet of 1,000 two-operator shards; then every
+        // slot's network moves by one ulp — the α-smoothing tail, where
+        // every refit changes the rates but almost never the greedy order.
+        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+        let mut draw = |lo: f64, hi: f64| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            lo + (hi - lo) * (rng >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let mut demands: Vec<ShardDemand> = (0..1_000)
+            .map(|_| {
+                let lambda = draw(20.0, 80.0);
+                let network = JacksonNetwork::from_rates(
+                    lambda,
+                    &[(lambda, draw(4.0, 12.0)), (lambda * 2.0, draw(15.0, 40.0))],
+                )
+                .unwrap();
+                let desired = network
+                    .min_stable_allocation()
+                    .iter()
+                    .map(|&k| k + 1 + (draw(0.0, 4.0) as u32))
+                    .collect();
+                ShardDemand { network, desired }
+            })
+            .collect();
+        let floors: u64 = demands
+            .iter()
+            .map(|d| executor_total(&d.network.min_stable_allocation()))
+            .sum();
+        let desired: u64 = demands.iter().map(|d| executor_total(&d.desired)).sum();
+        let budget = u32::try_from(floors + (desired - floors) * 3 / 5).unwrap();
+
+        let mut warm = FleetNegotiator::new(budget);
+        warm.negotiate_within_incremental(budget, &demands).unwrap();
+        for d in &mut demands {
+            let pairs: Vec<(f64, f64)> = d
+                .network
+                .operators()
+                .iter()
+                .map(|q| {
+                    let lambda = f64::from_bits(q.arrival_rate().to_bits() + 1);
+                    (lambda, q.service_rate())
+                })
+                .collect();
+            d.network = JacksonNetwork::from_rates(d.network.external_rate(), &pairs).unwrap();
+        }
+        let reseated = warm.sum_taken;
+        let moves_before = warm.fixup_moves;
+        warm.negotiate_within_incremental(budget, &demands).unwrap();
+        let refs: Vec<&ShardDemand> = demands.iter().collect();
+        assert_eq!(
+            warm.grants(),
+            &FleetNegotiator::negotiate_scratch(budget, &refs).unwrap()[..]
+        );
+        let moves = warm.fixup_moves - moves_before;
+        assert!(
+            reseated >= 1_000,
+            "the fleet must hold executors above its floors"
+        );
+        assert!(
+            moves * 20 < reseated,
+            "{moves} global take/revoke steps to re-seat {reseated} executors"
+        );
+    }
+
     fn fleet(k_max: u32, shards: Vec<(&str, f64, StaticShard)>) -> FleetDriver<StaticShard> {
         let mut config = FleetDriverConfig::new(k_max);
         config.warmup_windows = 1;
@@ -2905,6 +3010,25 @@ mod tests {
                 .collect(),
         )
         .unwrap()
+    }
+
+    #[test]
+    fn sojourn_only_moves_do_not_refit() {
+        // Constant rates, but the shard starts unstable: the grow moves its
+        // measured sojourn, whose α-smoother then keeps moving for dozens
+        // of windows while the rate streams stand still.
+        let mut fleet = fleet(40, vec![("a", 0.2, StaticShard::new(40.0, 10.0, 4))]);
+        fleet.run_windows(3);
+        assert_ne!(fleet.backend(0).allocation, vec![4], "the shard must grow");
+        for _ in 0..10 {
+            let epoch = fleet.shards[0].measurer.epoch();
+            fleet.step();
+            assert!(
+                fleet.shards[0].measurer.epoch() > epoch,
+                "the sojourn stream must still be moving"
+            );
+            assert!(fleet.scratch.refit.is_empty(), "sojourn-only move refitted");
+        }
     }
 
     #[test]

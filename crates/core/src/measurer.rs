@@ -103,10 +103,11 @@ impl Stream {
 
     /// Ingests one observation; `true` when the smoothed value may have
     /// changed. α-streams compare bits — under constant input the
-    /// exponential recurrence reaches a floating-point fixpoint after a few
-    /// dozen windows, and from then on reports `false`, which is what lets
-    /// [`Measurer::epoch`] stand still in steady state. Window streams
-    /// always report `true` (their contents shift every observation).
+    /// exponential recurrence reaches a floating-point fixpoint (at
+    /// α = 0.5, about 50 windows after a ±20% step), and from then on
+    /// reports `false`, which is what lets [`Measurer::epoch`] stand still
+    /// in steady state. Window streams always report `true` (their
+    /// contents shift every observation).
     fn observe(&mut self, x: f64, weight: f64) -> bool {
         match self {
             Stream::Alpha { alpha, state } => {
@@ -215,6 +216,7 @@ pub struct Measurer {
     sojourn: Stream,
     windows_seen: u64,
     epoch: u64,
+    rates_epoch: u64,
 }
 
 impl Measurer {
@@ -232,6 +234,7 @@ impl Measurer {
             sojourn: Stream::new(smoothing),
             windows_seen: 0,
             epoch: 0,
+            rates_epoch: 0,
         })
     }
 
@@ -252,14 +255,27 @@ impl Measurer {
 
     /// A counter that advances exactly when an observation changed some
     /// smoothed value (bitwise). Callers that derive expensive artifacts
-    /// from [`estimates`](Self::estimates) — the fleet driver's per-shard
-    /// model refits — cache the epoch of their last derivation and skip the
-    /// work while it stands still. Under α-smoothing a constant input
-    /// reaches its floating-point fixpoint within a few dozen windows, so a
-    /// steady shard stops paying for refits (and their allocations)
-    /// entirely; window smoothing never reports a standstill.
+    /// from [`estimates`](Self::estimates) cache the epoch of their last
+    /// derivation and skip the work while it stands still. Under
+    /// α-smoothing a constant input reaches its floating-point fixpoint —
+    /// at α = 0.5, about 50 windows after a ±20% step in the input — so a
+    /// steady stream stops advancing the epoch entirely; window smoothing
+    /// never reports a standstill.
+    ///
+    /// Artifacts that depend on the smoothed *rates* only should key to
+    /// [`rates_epoch`](Self::rates_epoch) instead.
     pub fn epoch(&self) -> u64 {
         self.epoch
+    }
+
+    /// Like [`epoch`](Self::epoch), but advances only when the external,
+    /// arrival or service streams changed — never on a sojourn-only move.
+    /// [`SmoothedEstimates::to_model_inputs`] leaves the sojourn out, so a
+    /// model fitted from the estimates is bitwise unchanged while this
+    /// epoch stands still: the fleet driver keys its per-shard refits to
+    /// it.
+    pub fn rates_epoch(&self) -> u64 {
+        self.rates_epoch
     }
 
     /// Ingests one raw window.
@@ -297,15 +313,18 @@ impl Measurer {
             1.0
         };
         self.windows_seen += 1;
-        let mut changed = self.external.observe(raw.external_rate, weight);
+        let mut rates_changed = self.external.observe(raw.external_rate, weight);
         for (i, rates) in raw.operators.iter().enumerate() {
-            changed |= self.arrivals[i].observe(rates.arrival_rate, weight);
-            changed |= self.services[i].observe(rates.service_rate, weight);
+            rates_changed |= self.arrivals[i].observe(rates.arrival_rate, weight);
+            rates_changed |= self.services[i].observe(rates.service_rate, weight);
         }
-        if let Some(s) = raw.mean_sojourn {
-            changed |= self.sojourn.observe(s, weight);
+        let sojourn_changed = raw
+            .mean_sojourn
+            .is_some_and(|s| self.sojourn.observe(s, weight));
+        if rates_changed {
+            self.rates_epoch += 1;
         }
-        if changed {
+        if rates_changed || sojourn_changed {
             self.epoch += 1;
         }
     }
@@ -566,6 +585,21 @@ mod tests {
         m.observe(&sample(20.0, None));
         // D = 0.8*12 + 0.2*20 = 13.6.
         assert!((m.estimates().unwrap().external_rate - 13.6).abs() < 1e-12);
+    }
+
+    #[test]
+    fn rates_epoch_ignores_sojourn_only_moves() {
+        let mut m = Measurer::new(1, Smoothing::Alpha { alpha: 0.5 }).unwrap();
+        m.observe(&sample(10.0, Some(0.3)));
+        m.observe(&sample(10.0, Some(0.3)));
+        let (epoch, rates_epoch) = (m.epoch(), m.rates_epoch());
+        // Constant rates are at their fixpoint; only the sojourn moves.
+        m.observe(&sample(10.0, Some(0.5)));
+        assert_eq!(m.epoch(), epoch + 1);
+        assert_eq!(m.rates_epoch(), rates_epoch);
+        m.observe(&sample(12.0, Some(0.5)));
+        assert_eq!(m.epoch(), epoch + 2);
+        assert_eq!(m.rates_epoch(), rates_epoch + 1);
     }
 
     #[test]

@@ -10,14 +10,14 @@
 //! state compares each shard's request in place and replans nothing.
 //!
 //! A counting `#[global_allocator]` wraps the system allocator; the test
-//! warms the fleet past the smoothing fixpoint, then asserts the counter
-//! does not advance across further windows. Backends override
+//! warms the fleet past the smoothing fixpoint, then asserts that its own
+//! thread allocates nothing across further windows. Backends override
 //! `advance_into` / `current_allocation_into` so the measurement side is
 //! allocation-free too — exactly the contract production backends are
 //! expected to meet for large fleets.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use drs_core::driver::{
     AppliedRebalance, BackendError, CspBackend, OperatorSample, RebalancePlan, WindowSample,
@@ -30,46 +30,90 @@ use drs_core::scheduler;
 use drs_queueing::jackson::JacksonNetwork;
 use drs_topology::ResourceProfile;
 
-/// System allocator wrapper that counts every allocation and reallocation
-/// (frees are uncounted: the claim under test is "no new memory", not
-/// "no memory").
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-/// Failure diagnostics: while non-zero, each counted allocation prints a
-/// backtrace of its call site (and decrements the budget), so a regression
-/// names the allocating line instead of just a count.
-static TRAP: AtomicU64 = AtomicU64::new(0);
-
-fn trace_if_trapped() {
-    let n = TRAP.load(Ordering::Relaxed);
-    if n > 0
-        && TRAP
-            .compare_exchange(n, 0, Ordering::Relaxed, Ordering::Relaxed)
-            .is_ok()
-    {
-        eprintln!(
-            "ALLOC SITE:\n{}",
-            std::backtrace::Backtrace::force_capture()
-        );
-        TRAP.store(n - 1, Ordering::Relaxed);
-    }
+/// Per-thread counting state. Only the thread that asserts counts: the
+/// harness runs tests on parallel threads, and a process-global counter
+/// would charge one test with another's warm-up allocations.
+struct Counter {
+    /// Set on the asserting thread for the measured windows only.
+    measuring: Cell<bool>,
+    /// Allocations and reallocations counted while measuring (frees are
+    /// uncounted: the claim under test is "no new memory", not "no
+    /// memory").
+    allocs: Cell<u64>,
+    /// Failure diagnostics: while non-zero, each counted allocation prints
+    /// a backtrace of its call site (and decrements the budget), so a
+    /// regression names the allocating line instead of just a count.
+    trap: Cell<u64>,
+    /// Re-entrancy guard: set while the trap captures and prints, whose own
+    /// allocations re-enter the allocator. Those nested calls neither count
+    /// nor trap, so the trap never recurses into itself.
+    in_trap: Cell<bool>,
 }
+
+thread_local! {
+    // `const`-initialised and drop-free: accessing it never allocates.
+    static COUNTER: Counter = const {
+        Counter {
+            measuring: Cell::new(false),
+            allocs: Cell::new(0),
+            trap: Cell::new(0),
+            in_trap: Cell::new(false),
+        }
+    };
+}
+
+fn record_alloc() {
+    // `try_with`: an allocation during thread teardown finds no state and
+    // passes uncounted.
+    let _ = COUNTER.try_with(|c| {
+        if !c.measuring.get() || c.in_trap.get() {
+            return;
+        }
+        c.allocs.set(c.allocs.get() + 1);
+        let trap = c.trap.get();
+        if trap > 0 {
+            c.trap.set(trap - 1);
+            c.in_trap.set(true);
+            eprintln!(
+                "ALLOC SITE:\n{}",
+                std::backtrace::Backtrace::force_capture()
+            );
+            c.in_trap.set(false);
+        }
+    });
+}
+
+/// Runs `f` with counting (and the trap) switched on for the calling
+/// thread only, returning the allocations it performed.
+fn count_allocs(f: impl FnOnce()) -> u64 {
+    COUNTER.with(|c| {
+        c.allocs.set(0);
+        c.trap.set(12);
+        c.measuring.set(true);
+    });
+    f();
+    COUNTER.with(|c| {
+        c.measuring.set(false);
+        c.trap.set(0);
+        c.allocs.get()
+    })
+}
+
+/// System allocator wrapper that counts every allocation and reallocation
+/// made by a thread inside [`count_allocs`].
+struct CountingAlloc;
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        trace_if_trapped();
+        record_alloc();
         unsafe { System.alloc(layout) }
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        trace_if_trapped();
+        record_alloc();
         unsafe { System.alloc_zeroed(layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        trace_if_trapped();
+        record_alloc();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -205,19 +249,15 @@ fn assert_steady_windows_allocation_free(mut fleet: FleetDriver<SteadyShard>, la
     fleet.run_windows(120);
     let settled = fleet.completed_windows();
 
-    let before = ALLOCS.load(Ordering::Relaxed);
-    TRAP.store(12, Ordering::Relaxed);
-    fleet.run_windows(10);
-    TRAP.store(0, Ordering::Relaxed);
-    let after = ALLOCS.load(Ordering::Relaxed);
+    let allocs = count_allocs(|| {
+        fleet.run_windows(10);
+    });
 
     assert_eq!(fleet.completed_windows(), settled + 10);
     assert_eq!(
-        after - before,
-        0,
-        "{label}: {} heap allocations across 10 zero-churn steady-state \
-         windows (expected 0)",
-        after - before
+        allocs, 0,
+        "{label}: {allocs} heap allocations across 10 zero-churn steady-state \
+         windows (expected 0)"
     );
 }
 
@@ -243,4 +283,14 @@ fn steady_placement_windows_allocate_nothing() {
     fleet.run_windows(20);
     assert!(fleet.placement_full_solves() >= 1);
     assert!((0..fleet.shard_count()).all(|i| fleet.shard_placement(i).is_some()));
+}
+
+#[test]
+fn counter_sees_the_measuring_threads_allocations() {
+    // The instrument itself: a zero above must mean "nothing allocated",
+    // not "nothing counted".
+    let allocs = count_allocs(|| {
+        std::hint::black_box(Vec::<u64>::with_capacity(16));
+    });
+    assert_eq!(allocs, 1);
 }

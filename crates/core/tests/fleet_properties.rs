@@ -37,6 +37,34 @@ fn shard_networks(loads: &[Vec<(f64, f64)>], external: &[f64]) -> Vec<JacksonNet
         .collect()
 }
 
+/// `net` with operator `op`'s `(arrival, service)` rates replaced by
+/// `f(arrival, service)`; every other rate is carried over bit for bit.
+fn with_operator_rates(
+    net: &JacksonNetwork,
+    op: usize,
+    f: impl Fn(f64, f64) -> (f64, f64),
+) -> JacksonNetwork {
+    let pairs: Vec<(f64, f64)> = net
+        .operators()
+        .iter()
+        .enumerate()
+        .map(|(j, q)| {
+            let rates = (q.arrival_rate(), q.service_rate());
+            if j == op {
+                f(rates.0, rates.1)
+            } else {
+                rates
+            }
+        })
+        .collect();
+    JacksonNetwork::from_rates(net.external_rate(), &pairs).expect("positive rates")
+}
+
+/// `x` moved by `ulps` units in the last place (positive `x` only).
+fn nudge(x: f64, ulps: i64) -> f64 {
+    f64::from_bits(x.to_bits().wrapping_add_signed(ulps))
+}
+
 /// Each shard's own single-topology schedule for its target.
 fn desired_allocations(
     networks: &[JacksonNetwork],
@@ -302,14 +330,20 @@ fn decision_gate_damps_noise_driven_rebalance_churn() {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// The warm-start incremental negotiator is *observationally identical*
     /// to from-scratch negotiation: across any sequence of demand drifts,
     /// desired-allocation wobbles, shard churn (add/remove), budget swings,
     /// and even invalid demands, every window's `Result` — grants
     /// bit-for-bit, `capped` flags, and error variants included — equals
-    /// what a fresh negotiator produces for the same inputs.
+    /// what a fresh negotiator produces for the same inputs. Two kinds
+    /// target the warm re-seat of a changed slot: a few-ulp nudge of one
+    /// operator's rates (the tail of α-smoothing, where every refit moves
+    /// the rates but almost never the greedy order), and a large move of
+    /// one operator's arrival rate under a fixed `desired` (a capped
+    /// shard's best operator mix flips, so the re-seated walk must be
+    /// walked back through the global heaps).
     #[test]
     fn incremental_negotiation_matches_from_scratch(
         loads in vec(vec((0.25f64..4.0, 0.3f64..5.5), 1..=3), 1..=4),
@@ -317,7 +351,7 @@ proptest! {
         slack in vec(1.3f64..4.0, 4),
         // Per-window mutation script, drawn up front (no flat_map in the
         // vendored proptest): (kind, selector, rate scale, budget scale).
-        steps in vec((0u8..5, 0usize..8, 0.7f64..1.4, 0.25f64..1.3), 1..=12),
+        steps in vec((0u8..7, 0usize..8, 0.7f64..1.4, 0.25f64..1.3), 1..=12),
     ) {
         let n = loads.len();
         let mut networks = shard_networks(&loads, &external[..n]);
@@ -390,6 +424,30 @@ proptest! {
                         shard_networks(&loads[loads.len() - 1..], &[lam]).pop().unwrap();
                     networks.push(added);
                     desired.push(desired[j].clone());
+                }
+                // Ulp nudge: one operator's rates move by a few units in
+                // the last place; `desired` is unchanged.
+                5 => {
+                    let i = sel % n;
+                    let op = sel % networks[i].len();
+                    let ulps = 1 + (sel as i64 % 4);
+                    let ulps = if rate_scale > 1.0 { ulps } else { -ulps };
+                    networks[i] = with_operator_rates(&networks[i], op, |lambda, mu| {
+                        (nudge(lambda, ulps), nudge(mu, -ulps))
+                    });
+                }
+                // Mix flip: one operator's arrival rate moves a long way
+                // while `desired` stays fixed.
+                6 => {
+                    let i = sel % n;
+                    let op = sel % networks[i].len();
+                    let factor = if rate_scale > 1.0 {
+                        rate_scale * 3.0
+                    } else {
+                        rate_scale / 3.0
+                    };
+                    networks[i] =
+                        with_operator_rates(&networks[i], op, |lambda, mu| (lambda * factor, mu));
                 }
                 _ => {} // pure budget move: demands unchanged this window
             }

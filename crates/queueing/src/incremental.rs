@@ -69,8 +69,19 @@ pub struct ErlangStepper {
 
 impl ErlangStepper {
     fn build(queue: MmKQueue, servers: u32, reversible: bool) -> Self {
-        let a = queue.offered_load();
         let mut history = reversible.then(|| Vec::with_capacity(servers as usize + 1));
+        let erlang_b = Self::seed(queue.offered_load(), servers, history.as_mut());
+        ErlangStepper {
+            queue,
+            servers,
+            erlang_b,
+            history,
+        }
+    }
+
+    /// Unrolls the B recurrence from `B(0, a) = 1` up to `B(servers, a)`,
+    /// appending every `B(j, a)` for `j < servers` to `history` when given.
+    fn seed(a: f64, servers: u32, mut history: Option<&mut Vec<f64>>) -> f64 {
         let mut b = 1.0;
         for j in 1..=servers {
             if let Some(h) = &mut history {
@@ -79,12 +90,17 @@ impl ErlangStepper {
             let jb = f64::from(j);
             b = a * b / (jb + a * b);
         }
-        ErlangStepper {
-            queue,
-            servers,
-            erlang_b: b,
-            history,
-        }
+        b
+    }
+
+    /// Re-seeds this stepper in place as [`ErlangStepper::reversible`]
+    /// would build it for `queue` at `servers`, reusing the history buffer.
+    fn reset_reversible(&mut self, queue: MmKQueue, servers: u32) {
+        let history = self.history.get_or_insert_with(Vec::new);
+        history.clear();
+        self.erlang_b = Self::seed(queue.offered_load(), servers, Some(history));
+        self.queue = queue;
+        self.servers = servers;
     }
 
     /// Builds a forward-only stepper at `servers` processors. Costs
@@ -216,6 +232,17 @@ impl Compensated {
     }
 }
 
+fn check_length(network: &JacksonNetwork, allocation: &[u32]) -> Result<(), JacksonError> {
+    if allocation.len() == network.len() {
+        Ok(())
+    } else {
+        Err(JacksonError::AllocationLength {
+            expected: network.len(),
+            actual: allocation.len(),
+        })
+    }
+}
+
 /// The network-level Eq. 3 aggregate under a mutable allocation, with O(1)
 /// single-operator updates.
 ///
@@ -269,17 +296,40 @@ impl NetworkSojourn {
         Self::build(network, allocation, true)
     }
 
+    /// The in-place twin of [`NetworkSojourn::reversible`]: re-seeds this
+    /// state for `network` under `allocation`, bit-identical to a freshly
+    /// built reversible state, but reusing the stepper, weighted-term and
+    /// Erlang-B history buffers — so re-seating a walk whose network changed
+    /// allocates nothing once the buffers have grown to size.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`JacksonError::AllocationLength`] on length mismatch (the
+    /// state is left unchanged).
+    pub fn reset_reversible(
+        &mut self,
+        network: &JacksonNetwork,
+        allocation: &[u32],
+    ) -> Result<(), JacksonError> {
+        check_length(network, allocation)?;
+        self.steppers.truncate(network.len());
+        for (op, (&queue, &k)) in network.operators().iter().zip(allocation).enumerate() {
+            match self.steppers.get_mut(op) {
+                Some(stepper) => stepper.reset_reversible(queue, k),
+                None => self.steppers.push(ErlangStepper::reversible(queue, k)),
+            }
+        }
+        self.external_rate = network.external_rate();
+        self.aggregate();
+        Ok(())
+    }
+
     fn build(
         network: &JacksonNetwork,
         allocation: &[u32],
         reversible: bool,
     ) -> Result<Self, JacksonError> {
-        if allocation.len() != network.len() {
-            return Err(JacksonError::AllocationLength {
-                expected: network.len(),
-                actual: allocation.len(),
-            });
-        }
+        check_length(network, allocation)?;
         let steppers: Vec<ErlangStepper> = network
             .operators()
             .iter()
@@ -299,16 +349,25 @@ impl NetworkSojourn {
             total: Compensated::default(),
             unstable: 0,
         };
-        for i in 0..state.steppers.len() {
-            let term = state.term(i);
-            state.weighted.push(term);
+        state.aggregate();
+        Ok(state)
+    }
+
+    /// Recomputes every weighted term and the network sum from the
+    /// steppers, in operator order.
+    fn aggregate(&mut self) {
+        self.weighted.clear();
+        self.total = Compensated::default();
+        self.unstable = 0;
+        for i in 0..self.steppers.len() {
+            let term = self.term(i);
+            self.weighted.push(term);
             if term.is_finite() {
-                state.total.add(term);
+                self.total.add(term);
             } else {
-                state.unstable += 1;
+                self.unstable += 1;
             }
         }
-        Ok(state)
     }
 
     /// Builds the state at the network's minimum stable allocation.
@@ -566,6 +625,83 @@ mod tests {
         state.increment(0); // back to 4
         let direct = net.expected_sojourn(&[4]).unwrap();
         assert!((state.expected_sojourn() - direct).abs() <= 1e-12 * direct);
+    }
+
+    /// Every cached value of two states, compared on bits.
+    fn assert_states_bit_identical(a: &NetworkSojourn, b: &NetworkSojourn) {
+        assert_eq!(a.external_rate.to_bits(), b.external_rate.to_bits());
+        assert_eq!(a.allocation(), b.allocation());
+        assert_eq!(a.unstable, b.unstable);
+        assert_eq!(a.total.sum.to_bits(), b.total.sum.to_bits());
+        assert_eq!(a.total.correction.to_bits(), b.total.correction.to_bits());
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&a.weighted), bits(&b.weighted));
+        for (x, y) in a.steppers.iter().zip(&b.steppers) {
+            assert_eq!(x.queue(), y.queue());
+            assert_eq!(x.erlang_b().to_bits(), y.erlang_b().to_bits());
+            assert_eq!(
+                x.history.as_deref().map(bits),
+                y.history.as_deref().map(bits)
+            );
+        }
+        for op in 0..a.len() {
+            assert_eq!(
+                a.weighted_marginal_benefit(op).to_bits(),
+                b.weighted_marginal_benefit(op).to_bits()
+            );
+        }
+    }
+
+    #[test]
+    fn reset_reversible_is_bit_identical_to_reversible() {
+        let three = JacksonNetwork::from_rates(13.0, &[(13.0, 2.0), (390.0, 45.0), (390.0, 400.0)])
+            .unwrap();
+        let two = JacksonNetwork::from_rates(11.0, &[(11.5, 2.1), (380.0, 44.0)]).unwrap();
+        // Shrink 3 → 2 operators, grow 2 → 3, and re-seat a forward-only
+        // state (which gains the history it lacked).
+        let mut walked = NetworkSojourn::reversible(&three, &[9, 12, 2]).unwrap();
+        for op in [0usize, 1, 1, 2] {
+            walked.increment(op);
+        }
+        let cases = [
+            (walked, &two, vec![6u32, 9]),
+            (
+                NetworkSojourn::reversible(&two, &[8, 10]).unwrap(),
+                &three,
+                vec![7, 9, 1],
+            ),
+            (
+                NetworkSojourn::new(&three, &[9, 12, 2]).unwrap(),
+                &three,
+                vec![7, 10, 2],
+            ),
+        ];
+        for (mut reset, net, floor) in cases {
+            reset.reset_reversible(net, &floor).unwrap();
+            let mut fresh = NetworkSojourn::reversible(net, &floor).unwrap();
+            assert_states_bit_identical(&reset, &fresh);
+            for op in [1usize, 0, 1, 1, 0] {
+                reset.increment(op);
+                fresh.increment(op);
+                assert_states_bit_identical(&reset, &fresh);
+            }
+            for op in [1usize, 0, 1] {
+                reset.decrement(op);
+                fresh.decrement(op);
+                assert_states_bit_identical(&reset, &fresh);
+            }
+        }
+    }
+
+    #[test]
+    fn reset_reversible_rejects_length_mismatch() {
+        let net = JacksonNetwork::from_rates(1.0, &[(1.0, 2.0)]).unwrap();
+        let mut state = NetworkSojourn::reversible(&net, &[1]).unwrap();
+        assert!(matches!(
+            state.reset_reversible(&net, &[1, 1]),
+            Err(JacksonError::AllocationLength { .. })
+        ));
+        assert_eq!(state.allocation(), vec![1]);
     }
 
     #[test]
