@@ -12,10 +12,9 @@
 use crate::fleet::{FleetBenchConfig, FPD_T_MAX, VLD_T_MAX};
 use crate::report::{fmt_allocation, render_table};
 use drs_apps::{FpdProfile, VldProfile};
-use drs_core::fleet::{FleetDriverConfig, FleetShardSpec, FleetWindow, ShardPoint};
+use drs_core::fleet::{FleetDriver, FleetDriverConfig, FleetShardSpec, FleetWindow, ShardPoint};
 use drs_sim::{
-    ControlChannel, FaultEvent, FaultyFleetCoordinator, FaultyShard, LinkFaults, Partition,
-    Simulator, WindowJitter,
+    ControlChannel, FaultEvent, FaultyShard, LinkFaults, Partition, Simulator, WindowJitter,
 };
 
 /// A named control-plane fault scenario.
@@ -136,7 +135,7 @@ fn wrap(sim: Simulator, seed: u64, scenario: FaultScenario) -> FaultyShard<Simul
 pub fn build_faulty_fleet(
     config: &FleetBenchConfig,
     scenario: FaultScenario,
-) -> FaultyFleetCoordinator {
+) -> FleetDriver<FaultyShard<Simulator>> {
     let vld = VldProfile::paper();
     let fpd = FpdProfile::paper();
     let mut driver_config = FleetDriverConfig::new(config.k_max);
@@ -179,7 +178,7 @@ pub fn build_faulty_fleet(
         shards[3].crash_at(config.windows / 2 + 1);
     }
     let mut it = shards.into_iter();
-    FaultyFleetCoordinator::new(
+    FleetDriver::new(
         driver_config,
         vec![
             FleetShardSpec::new("vld-a", VLD_T_MAX, it.next().expect("four shards")),
@@ -208,14 +207,13 @@ pub fn run_faulty_fleet(config: &FleetBenchConfig, scenario: FaultScenario) -> F
                     scenario,
                 );
                 fleet
-                    .driver_mut()
                     .add_shard(FleetShardSpec::new("fpd-c", FPD_T_MAX, shard))
                     .expect("valid joining shard");
                 names.push("fpd-c".to_owned());
             }
             if window == leave_at {
                 let name = fleet.shard_names()[1].to_owned();
-                let removed = fleet.driver_mut().remove_shard(1);
+                let removed = fleet.remove_shard(1);
                 departed.push((name, removed.fault_log().to_vec()));
             }
         }
@@ -225,7 +223,7 @@ pub fn run_faulty_fleet(config: &FleetBenchConfig, scenario: FaultScenario) -> F
         .shard_names()
         .iter()
         .enumerate()
-        .map(|(i, name)| ((*name).to_owned(), fleet.fault_log(i).to_vec()))
+        .map(|(i, name)| ((*name).to_owned(), fleet.backend(i).fault_log().to_vec()))
         .collect();
     faults.extend(departed);
     faults.sort_by_key(|(name, _)| names.iter().position(|n| n == name));

@@ -3,19 +3,19 @@
 //!
 //! Four shards — two VLD and two FPD topologies, different seeds — run as
 //! independent simulators (own virtual clocks) under a single
-//! `FleetCoordinator` owning a global budget `Kmax` deliberately smaller
-//! than the sum of the shards' single-topology demands. Each window every
-//! shard computes its own Program 6 schedule for its latency target; the
-//! coordinator arbitrates by the paper's max-marginal-benefit rule across
+//! `FleetDriver<Simulator>` owning a global budget `Kmax` deliberately
+//! smaller than the sum of the shards' single-topology demands. Each window
+//! every shard computes its own Program 6 schedule for its latency target;
+//! the driver arbitrates by the paper's max-marginal-benefit rule across
 //! topologies and hands each shard a capped plan. Mid-run one VLD shard's
 //! frame rate collapses, and the timeline shows the freed executors being
 //! re-offered to the still-starved shards on the following windows.
 
 use crate::report::{fmt_allocation, render_table};
 use drs_apps::{FpdProfile, VldProfile};
-use drs_core::fleet::{FleetDriverConfig, FleetShardSpec, FleetWindow};
+use drs_core::fleet::{FleetDriver, FleetDriverConfig, FleetShardSpec, FleetWindow};
 use drs_queueing::distribution::Distribution;
-use drs_sim::fleet::FleetCoordinator;
+use drs_sim::Simulator;
 
 /// The `repro fleet` run shape.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -74,12 +74,12 @@ pub struct FleetRun {
 }
 
 /// Builds the four-topology fleet.
-pub fn build_fleet(config: &FleetBenchConfig) -> FleetCoordinator {
+pub fn build_fleet(config: &FleetBenchConfig) -> FleetDriver<Simulator> {
     let vld = VldProfile::paper();
     let fpd = FpdProfile::paper();
     let mut driver_config = FleetDriverConfig::new(config.k_max);
     driver_config.window_secs = config.window_secs;
-    FleetCoordinator::new(
+    FleetDriver::new(
         driver_config,
         vec![
             FleetShardSpec::new(
@@ -114,13 +114,13 @@ pub fn run_fleet(config: &FleetBenchConfig) -> FleetRun {
     for window in 0..config.windows {
         if window == config.relax_at {
             let spout = fleet
-                .shard(1)
+                .backend(1)
                 .topology()
                 .operator_by_name("video-spout")
                 .expect("vld topology")
                 .id();
             fleet
-                .shard_mut(1)
+                .backend_mut(1)
                 .set_spout_interarrival(spout, Distribution::exponential(4.0).expect("valid rate"))
                 .expect("video-spout is a spout");
         }

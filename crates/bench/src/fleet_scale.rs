@@ -7,10 +7,10 @@
 //! benefit moves). Two arms negotiate the identical demand sequence:
 //!
 //! * **incremental** — one warm [`FleetNegotiator`] carried across
-//!   windows via `negotiate_within_incremental`: per-window cost is
+//!   windows via [`FleetNegotiator::negotiate`]: per-window cost is
 //!   O(changed shards + executor moves);
-//! * **from-scratch** — a fresh `negotiate_within` per window, the
-//!   O(fleet) reference the warm path must beat.
+//! * **from-scratch** — a [`FleetNegotiator::negotiate_scratch`] call per
+//!   window, the O(fleet) reference the warm path must beat.
 //!
 //! Reported per arm: mean negotiate-µs per contended window, plus the heap
 //! allocations one zero-churn steady-state window performs (via the
@@ -230,7 +230,7 @@ pub fn run_fleet_scale(config: &FleetScaleConfig) -> FleetScaleRun {
     let mut negotiator = FleetNegotiator::new(budget);
     let start = Instant::now();
     negotiator
-        .negotiate_within_incremental(budget, &demands)
+        .negotiate(budget, &demands)
         .expect("feasible budget");
     let build_us = start.elapsed().as_secs_f64() * 1e6;
 
@@ -239,7 +239,7 @@ pub fn run_fleet_scale(config: &FleetScaleConfig) -> FleetScaleRun {
         drift_window(config, w, &mut gens, &desired, &mut demands);
         let start = Instant::now();
         negotiator
-            .negotiate_within_incremental(budget, &demands)
+            .negotiate(budget, &demands)
             .expect("feasible budget");
         inc_secs += start.elapsed().as_secs_f64();
     }
@@ -248,7 +248,7 @@ pub fn run_fleet_scale(config: &FleetScaleConfig) -> FleetScaleRun {
     let inc_steady = probe.map(|p| {
         let before = p();
         negotiator
-            .negotiate_within_incremental(budget, &demands)
+            .negotiate(budget, &demands)
             .expect("feasible budget");
         p() - before
     });
@@ -266,24 +266,22 @@ pub fn run_fleet_scale(config: &FleetScaleConfig) -> FleetScaleRun {
         .zip(&desired)
         .map(|(g, d)| g.demand(d))
         .collect();
-    let reference = FleetNegotiator::new(budget);
+    // Borrowing the demands is part of each from-scratch call's cost.
+    let scratch_call = |demands: &[ShardDemand]| {
+        let refs: Vec<&ShardDemand> = demands.iter().collect();
+        FleetNegotiator::negotiate_scratch(budget, &refs).expect("feasible budget")
+    };
     let mut scratch_secs = 0.0;
     let mut last_grants = Vec::new();
     for w in 1..=config.scratch_windows {
         drift_window(config, w, &mut gens, &desired, &mut demands);
         let start = Instant::now();
-        last_grants = reference
-            .negotiate_within(budget, &demands)
-            .expect("feasible budget");
+        last_grants = scratch_call(&demands);
         scratch_secs += start.elapsed().as_secs_f64();
     }
     let scratch_steady = probe.map(|p| {
         let before = p();
-        std::hint::black_box(
-            reference
-                .negotiate_within(budget, &demands)
-                .expect("feasible budget"),
-        );
+        std::hint::black_box(scratch_call(&demands));
         p() - before
     });
     let scratch = ArmStats {

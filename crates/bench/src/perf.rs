@@ -355,7 +355,7 @@ fn hold_model_ns<Q: HoldQueue>(queue: &mut Q, pending: u64, ops: u64, seed: u64)
 
 /// Times the calendar queue against the binary-heap reference at one
 /// pending-population size, `ops` hold cycles each (best of
-/// [`WALL_RUNS`] − 1 attempts, so one scheduler hiccup cannot poison a
+/// `WALL_RUNS` − 1 attempts, so one scheduler hiccup cannot poison a
 /// committed number).
 pub fn event_queue_point(pending: u64, ops: u64, seed: u64) -> EventQueuePoint {
     let mut calendar_ns = f64::INFINITY;
@@ -405,7 +405,7 @@ fn hold_model_far_ns<Q: HoldQueue>(queue: &mut Q, pending: u64, ops: u64, seed: 
 }
 
 /// Times the calendar queue against the binary-heap reference on the
-/// far-future-heavy hold model (best of [`WALL_RUNS`] − 1 attempts).
+/// far-future-heavy hold model (best of `WALL_RUNS` − 1 attempts).
 pub fn event_queue_far_point(pending: u64, ops: u64, seed: u64) -> EventQueueFarPoint {
     let mut calendar_ns = f64::INFINITY;
     let mut heap_ns = f64::INFINITY;
@@ -600,7 +600,7 @@ pub fn thread_join_rebalance_pause_us(old_threads: usize, new_threads: usize, ro
 /// (`iterations` calls each), the event-queue sweep, the two simulator
 /// profiles and the live VLD pipeline.
 ///
-/// The network is [`crate::table2::overhead_network`], so the JSON
+/// The network is `table2::overhead_network`, so the JSON
 /// trajectory is comparable like for like with the Table II rows.
 pub fn run_perf(iterations: u32, seed: u64) -> PerfReport {
     let net = crate::table2::overhead_network();

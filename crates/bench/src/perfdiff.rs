@@ -145,6 +145,39 @@ fn field_str<'a>(line: &'a str, key: &str) -> Option<&'a str> {
     rest.split('"').next()
 }
 
+/// One row kind of `BENCH_PERF.json`: `(key, value, label, metrics)`. A
+/// line is of that kind when it carries field `key` — holding the string
+/// `value`, when one is given — and the key's value fills the `{}` in
+/// `label`. Each metric is `(field, higher_is_better, required)`: a line
+/// missing a required metric gates nothing; optional companions are gated
+/// when present.
+type Row = (
+    &'static str,
+    Option<&'static str>,
+    &'static str,
+    &'static [(&'static str, bool, bool)],
+);
+
+/// Every gated metric (see the module docs). A line may match several rows.
+#[rustfmt::skip]
+const ROWS: &[Row] = &[
+    ("k_max",        None,           "scheduling[k_max={}]",        &[("heap_us", false, true), ("speedup", true, false)]),
+    ("pending",      None,           "event_queue[pending={}]",     &[("calendar_ns", false, true), ("eq_speedup", true, false)]),
+    ("far_pending",  None,           "event_queue_far[pending={}]", &[("calendar_ns", false, true), ("far_speedup", true, false)]),
+    ("shards",       None,           "fleet_scale[shards={}]",      &[("incremental_us", false, true), ("fleet_speedup", true, false),
+                                                                      ("steady_allocs", false, false)]),
+    ("place_shards", None,           "placement_scale[shards={}]",  &[("place_incremental_us", false, true), ("place_speedup", true, false),
+                                                                      ("place_steady_allocs", false, false)]),
+    ("app",          None,           "simulator[{}]",               &[("trees_per_wall_sec", true, true)]),
+    ("pipeline",     None,           "runtime[{}]",                 &[("tuples_per_wall_sec", true, true)]),
+    ("workers",      None,           "worker_pool[workers={}]",     &[("tuples_per_wall_sec", true, true)]),
+    ("path",         Some("pool"),   "rebalance[pool]",             &[("pause_us", false, true), ("pause_speedup", true, false)]),
+    ("policy",       Some("solver"), "placement[solver]",           &[("cross_fraction", false, true), ("mean_sojourn_ms", false, false),
+                                                                      ("cross_cut", true, false)]),
+    ("scenario",     None,           "soak[{}]",                    &[("p50_ms", false, false), ("p95_ms", false, false), ("p99_ms", false, false),
+                                                                      ("max_queue_depth", false, false), ("soak_tuples_per_sec", true, false)]),
+];
+
 /// Parses the gated metrics out of a `BENCH_PERF.json` body.
 ///
 /// # Errors
@@ -154,202 +187,35 @@ fn field_str<'a>(line: &'a str, key: &str) -> Option<&'a str> {
 pub fn parse_metrics(json: &str) -> Result<Vec<MetricDelta>, PerfDiffError> {
     let mut metrics = Vec::new();
     for line in json.lines() {
-        if let (Some(k_max), Some(heap)) = (field_f64(line, "k_max"), field_f64(line, "heap_us")) {
-            metrics.push(MetricDelta {
-                name: format!("scheduling[k_max={k_max}].heap_us"),
-                baseline: heap,
-                current: f64::NAN,
-                higher_is_better: false,
-            });
-            if let Some(speedup) = field_f64(line, "speedup") {
-                metrics.push(MetricDelta {
-                    name: format!("scheduling[k_max={k_max}].speedup"),
-                    baseline: speedup,
-                    current: f64::NAN,
-                    higher_is_better: true,
-                });
+        for &(key, value, label, columns) in ROWS {
+            let id = match (value, field_str(line, key)) {
+                (Some(want), Some(got)) if got == want => got.to_owned(),
+                (None, Some(text)) => text.to_owned(),
+                (None, None) => match field_f64(line, key) {
+                    Some(number) => number.to_string(),
+                    None => continue,
+                },
+                (Some(_), _) => continue,
+            };
+            let values: Vec<Option<f64>> = columns
+                .iter()
+                .map(|&(metric, _, _)| field_f64(line, metric))
+                .collect();
+            if columns
+                .iter()
+                .zip(&values)
+                .any(|(&(_, _, required), value)| required && value.is_none())
+            {
+                continue;
             }
-        }
-        if let (Some(pending), Some(calendar)) =
-            (field_f64(line, "pending"), field_f64(line, "calendar_ns"))
-        {
-            metrics.push(MetricDelta {
-                name: format!("event_queue[pending={pending}].calendar_ns"),
-                baseline: calendar,
-                current: f64::NAN,
-                higher_is_better: false,
-            });
-            if let Some(speedup) = field_f64(line, "eq_speedup") {
-                metrics.push(MetricDelta {
-                    name: format!("event_queue[pending={pending}].eq_speedup"),
-                    baseline: speedup,
-                    current: f64::NAN,
-                    higher_is_better: true,
-                });
-            }
-        }
-        if let (Some(pending), Some(calendar)) = (
-            field_f64(line, "far_pending"),
-            field_f64(line, "calendar_ns"),
-        ) {
-            metrics.push(MetricDelta {
-                name: format!("event_queue_far[pending={pending}].calendar_ns"),
-                baseline: calendar,
-                current: f64::NAN,
-                higher_is_better: false,
-            });
-            if let Some(speedup) = field_f64(line, "far_speedup") {
-                metrics.push(MetricDelta {
-                    name: format!("event_queue_far[pending={pending}].far_speedup"),
-                    baseline: speedup,
-                    current: f64::NAN,
-                    higher_is_better: true,
-                });
-            }
-        }
-        if let (Some(shards), Some(incremental)) =
-            (field_f64(line, "shards"), field_f64(line, "incremental_us"))
-        {
-            metrics.push(MetricDelta {
-                name: format!("fleet_scale[shards={shards}].incremental_us"),
-                baseline: incremental,
-                current: f64::NAN,
-                higher_is_better: false,
-            });
-            if let Some(speedup) = field_f64(line, "fleet_speedup") {
-                metrics.push(MetricDelta {
-                    name: format!("fleet_scale[shards={shards}].fleet_speedup"),
-                    baseline: speedup,
-                    current: f64::NAN,
-                    higher_is_better: true,
-                });
-            }
-            if let Some(allocs) = field_f64(line, "steady_allocs") {
-                metrics.push(MetricDelta {
-                    name: format!("fleet_scale[shards={shards}].steady_allocs"),
-                    baseline: allocs,
-                    current: f64::NAN,
-                    higher_is_better: false,
-                });
-            }
-        }
-        if let (Some(shards), Some(incremental)) = (
-            field_f64(line, "place_shards"),
-            field_f64(line, "place_incremental_us"),
-        ) {
-            metrics.push(MetricDelta {
-                name: format!("placement_scale[shards={shards}].place_incremental_us"),
-                baseline: incremental,
-                current: f64::NAN,
-                higher_is_better: false,
-            });
-            if let Some(speedup) = field_f64(line, "place_speedup") {
-                metrics.push(MetricDelta {
-                    name: format!("placement_scale[shards={shards}].place_speedup"),
-                    baseline: speedup,
-                    current: f64::NAN,
-                    higher_is_better: true,
-                });
-            }
-            if let Some(allocs) = field_f64(line, "place_steady_allocs") {
-                metrics.push(MetricDelta {
-                    name: format!("placement_scale[shards={shards}].place_steady_allocs"),
-                    baseline: allocs,
-                    current: f64::NAN,
-                    higher_is_better: false,
-                });
-            }
-        }
-        if let (Some(app), Some(tps)) = (
-            field_str(line, "app"),
-            field_f64(line, "trees_per_wall_sec"),
-        ) {
-            metrics.push(MetricDelta {
-                name: format!("simulator[{app}].trees_per_wall_sec"),
-                baseline: tps,
-                current: f64::NAN,
-                higher_is_better: true,
-            });
-        }
-        if let (Some(pipeline), Some(tps)) = (
-            field_str(line, "pipeline"),
-            field_f64(line, "tuples_per_wall_sec"),
-        ) {
-            metrics.push(MetricDelta {
-                name: format!("runtime[{pipeline}].tuples_per_wall_sec"),
-                baseline: tps,
-                current: f64::NAN,
-                higher_is_better: true,
-            });
-        }
-        if let (Some(workers), Some(tps)) = (
-            field_f64(line, "workers"),
-            field_f64(line, "tuples_per_wall_sec"),
-        ) {
-            metrics.push(MetricDelta {
-                name: format!("worker_pool[workers={workers}].tuples_per_wall_sec"),
-                baseline: tps,
-                current: f64::NAN,
-                higher_is_better: true,
-            });
-        }
-        if let (Some("pool"), Some(pause)) = (field_str(line, "path"), field_f64(line, "pause_us"))
-        {
-            metrics.push(MetricDelta {
-                name: "rebalance[pool].pause_us".to_owned(),
-                baseline: pause,
-                current: f64::NAN,
-                higher_is_better: false,
-            });
-            if let Some(speedup) = field_f64(line, "pause_speedup") {
-                metrics.push(MetricDelta {
-                    name: "rebalance[pool].pause_speedup".to_owned(),
-                    baseline: speedup,
-                    current: f64::NAN,
-                    higher_is_better: true,
-                });
-            }
-        }
-        if let (Some("solver"), Some(fraction)) =
-            (field_str(line, "policy"), field_f64(line, "cross_fraction"))
-        {
-            metrics.push(MetricDelta {
-                name: "placement[solver].cross_fraction".to_owned(),
-                baseline: fraction,
-                current: f64::NAN,
-                higher_is_better: false,
-            });
-            if let Some(sojourn) = field_f64(line, "mean_sojourn_ms") {
-                metrics.push(MetricDelta {
-                    name: "placement[solver].mean_sojourn_ms".to_owned(),
-                    baseline: sojourn,
-                    current: f64::NAN,
-                    higher_is_better: false,
-                });
-            }
-            if let Some(cut) = field_f64(line, "cross_cut") {
-                metrics.push(MetricDelta {
-                    name: "placement[solver].cross_cut".to_owned(),
-                    baseline: cut,
-                    current: f64::NAN,
-                    higher_is_better: true,
-                });
-            }
-        }
-        if let Some(scenario) = field_str(line, "scenario") {
-            for (key, higher) in [
-                ("p50_ms", false),
-                ("p95_ms", false),
-                ("p99_ms", false),
-                ("max_queue_depth", false),
-                ("soak_tuples_per_sec", true),
-            ] {
-                if let Some(value) = field_f64(line, key) {
+            let label = label.replace("{}", &id);
+            for (&(metric, higher_is_better, _), value) in columns.iter().zip(values) {
+                if let Some(baseline) = value {
                     metrics.push(MetricDelta {
-                        name: format!("soak[{scenario}].{key}"),
-                        baseline: value,
+                        name: format!("{label}.{metric}"),
+                        baseline,
                         current: f64::NAN,
-                        higher_is_better: higher,
+                        higher_is_better,
                     });
                 }
             }

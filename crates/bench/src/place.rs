@@ -26,10 +26,9 @@ use crate::fleet::{FPD_T_MAX, VLD_T_MAX};
 use crate::report::render_table;
 use drs_apps::{FpdProfile, VldProfile};
 use drs_core::driver::CspBackend;
-use drs_core::fleet::{FleetDriverConfig, FleetShardSpec, ShardPlacementInfo};
+use drs_core::fleet::{FleetDriver, FleetDriverConfig, FleetShardSpec, ShardPlacementInfo};
 use drs_core::placement::{self, MachinePool, OperatorLoad, PlacementRequest};
-use drs_sim::fleet::FleetCoordinator;
-use drs_sim::SimDuration;
+use drs_sim::{SimDuration, Simulator};
 use drs_topology::ResourceProfile;
 
 /// The `repro place` run shape.
@@ -172,12 +171,12 @@ fn fpd_placement_info(profile: &FpdProfile) -> ShardPlacementInfo {
 
 /// Builds the four-topology fleet with placement metadata and the
 /// cross-machine delay installed on every shard simulator.
-fn build_fleet(config: &PlaceBenchConfig) -> FleetCoordinator {
+fn build_fleet(config: &PlaceBenchConfig) -> FleetDriver<Simulator> {
     let vld = VldProfile::paper();
     let fpd = FpdProfile::paper();
     let mut driver_config = FleetDriverConfig::new(config.k_max);
     driver_config.window_secs = config.window_secs;
-    let mut fleet = FleetCoordinator::new(
+    let mut fleet = FleetDriver::new(
         driver_config,
         vec![
             FleetShardSpec::new(
@@ -209,7 +208,7 @@ fn build_fleet(config: &PlaceBenchConfig) -> FleetCoordinator {
     .expect("valid fleet");
     let delay = SimDuration::from_secs_f64(config.cross_delay_ms / 1e3);
     for i in 0..fleet.shard_count() {
-        fleet.shard_mut(i).set_cross_machine_delay(delay);
+        fleet.backend_mut(i).set_cross_machine_delay(delay);
     }
     fleet
 }
@@ -225,8 +224,8 @@ fn pool(config: &PlaceBenchConfig) -> MachinePool {
 
 /// Deals `allocation` across the pool in machine index order — the
 /// capacity-oblivious baseline — and installs it on shard `i`.
-fn apply_round_robin(fleet: &mut FleetCoordinator, i: usize, pool: &MachinePool) {
-    let allocation = fleet.shard(i).current_allocation();
+fn apply_round_robin(fleet: &mut FleetDriver<Simulator>, i: usize, pool: &MachinePool) {
+    let allocation = fleet.backend(i).current_allocation();
     let request = PlacementRequest {
         operators: allocation
             .iter()
@@ -239,7 +238,7 @@ fn apply_round_robin(fleet: &mut FleetCoordinator, i: usize, pool: &MachinePool)
     };
     let placed = placement::round_robin(pool, &request).expect("round robin fits one shard");
     fleet
-        .shard_mut(i)
+        .backend_mut(i)
         .apply_placement(&placed)
         .expect("placement matches the shard topology");
 }
@@ -253,7 +252,7 @@ fn run_policy(config: &PlaceBenchConfig, solver: bool) -> (PlacePolicyRun, f64) 
     let mut fleet = build_fleet(config);
     let shared = pool(config);
     if solver {
-        fleet.driver_mut().set_machine_pool(shared.clone());
+        fleet.set_machine_pool(shared.clone());
     }
     for _ in 0..config.windows {
         fleet.step();
@@ -274,7 +273,7 @@ fn run_policy(config: &PlaceBenchConfig, solver: bool) -> (PlacePolicyRun, f64) 
     };
     let mut sojourn_weighted = 0.0;
     for i in 0..fleet.shard_count() {
-        let sim = fleet.shard(i);
+        let sim = fleet.backend(i);
         run.cross_tuples += sim.cross_machine_tuples();
         run.edge_tuples += sim.edge_tuples();
         run.shard_cross.push(sim.cross_machine_fraction());
@@ -295,7 +294,7 @@ fn run_policy(config: &PlaceBenchConfig, solver: bool) -> (PlacePolicyRun, f64) 
         let profiles = vec![ResourceProfile::uniform(1.0); 3];
         let mut used = vec![ResourceProfile::uniform(0.0); config.machines];
         for i in 0..fleet.shard_count() {
-            if let Some(p) = fleet.driver().shard_placement(i) {
+            if let Some(p) = fleet.shard_placement(i) {
                 for (m, u) in p.usage(&profiles).into_iter().enumerate() {
                     used[m].cpu += u.cpu;
                     used[m].mem += u.mem;

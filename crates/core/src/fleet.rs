@@ -55,9 +55,9 @@
 //!   after a load shift while their greedy order barely moves, so the
 //!   global heaps then move only the few executors whose rank across
 //!   shards actually shifted;
-//! * the warm path ([`FleetNegotiator::negotiate_within_incremental`])
-//!   is *observationally identical* to the retained from-scratch
-//!   reference ([`FleetNegotiator::negotiate_within`]) — same grants,
+//! * the warm path ([`FleetNegotiator::negotiate`]) is *observationally
+//!   identical* to the retained from-scratch reference
+//!   ([`FleetNegotiator::negotiate_scratch`]) — same grants,
 //!   same errors, bit for bit — property-tested across randomized demand
 //!   drift, shard churn and budget schedules;
 //! * a fully settled window — no demand epoch moved, every grant equal to
@@ -115,11 +115,11 @@
 //! virtual clocks — so long scenario sweeps can branch from a common
 //! prefix and replay deterministically.
 //!
-//! The `drs-sim` crate pairs this driver with a sharded multi-topology
-//! simulator (`drs_sim::fleet::FleetCoordinator`); `repro fleet` in
-//! `crates/bench` runs a four-topology mixed VLD+FPD fleet under a
-//! contended budget, and `repro fleet --faults <scenario>` runs the same
-//! fleet through the fault injector.
+//! The `drs-sim` crate's `Simulator` is a backend for this driver, so
+//! `FleetDriver<Simulator>` is the sharded multi-topology simulator;
+//! `repro fleet` in `crates/bench` runs a four-topology mixed VLD+FPD
+//! fleet under a contended budget, and `repro fleet --faults <scenario>`
+//! runs the same fleet through the fault injector.
 //!
 //! # Example
 //!
@@ -202,6 +202,7 @@ use drs_queueing::incremental::NetworkSojourn;
 use drs_queueing::jackson::JacksonNetwork;
 use drs_topology::ResourceProfile;
 use serde::{Deserialize, Serialize};
+use std::cmp::Reverse;
 use std::fmt;
 use std::sync::Arc;
 
@@ -339,9 +340,12 @@ struct WarmEntry {
     seq: u64,
 }
 
-/// Ascent-heap order: largest δ first, ties to the smallest `(slot, op)` —
-/// the same strict total order as the from-scratch [`Candidate`] heap, so
-/// warm and cold negotiation tie-break identically.
+/// The greedy order over warm steps: largest δ first, ties to the smallest
+/// `(slot, op)` — the same strict total order as the from-scratch
+/// [`Candidate`] heap, so warm and cold negotiation tie-break identically.
+/// The ascent heap pops its best frontier step; the descent heap holds
+/// `Reverse<Ascend>` and pops the weakest taken step, so the two are the
+/// two ends of one order.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct Ascend(WarmEntry);
 
@@ -362,44 +366,8 @@ impl PartialOrd for Ascend {
     }
 }
 
-/// Descent-heap order: the heap's max is the *weakest* taken step —
-/// smallest δ first, ties to the largest `(slot, op)` — the exact reverse
-/// of [`Ascend`], so "best frontier step" and "weakest taken step" are the
-/// two ends of one strict total order.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct Descend(WarmEntry);
-
-impl Eq for Descend {}
-
-impl Ord for Descend {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other
-            .0
-            .delta
-            .total_cmp(&self.0.delta)
-            .then_with(|| (self.0.slot, self.0.op).cmp(&(other.0.slot, other.0.op)))
-    }
-}
-
-impl PartialOrd for Descend {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// Whether frontier step `f` strictly precedes taken step `a` in the greedy
-/// order (larger δ first, ties to the smaller `(slot, op)`). If a frontier
-/// step of a below-cap shard outranks any taken step, the warm state is not
-/// the greedy equilibrium and the pair must be exchanged.
-fn outranks(f: &WarmEntry, a: &WarmEntry) -> bool {
-    f.delta
-        .total_cmp(&a.delta)
-        .then_with(|| (a.slot, a.op).cmp(&(f.slot, f.op)))
-        .is_gt()
-}
-
 /// Per-shard warm state carried across windows by the incremental
-/// negotiator (see [`FleetNegotiator::negotiate_within_incremental`]).
+/// negotiator (see [`FleetNegotiator::negotiate`]).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct SlotState {
     /// The demand the warm state was built from (bitwise cache key — see
@@ -430,7 +398,7 @@ struct SlotState {
     /// contended window.
     walk_stale: bool,
     /// The published grant no longer matches the warm state; rewritten
-    /// before `negotiate_within_incremental` returns.
+    /// before `FleetNegotiator::negotiate` returns.
     grant_dirty: bool,
     /// Frontier entries of this slot were discarded while it sat at its
     /// demand cap; a revoke that drops it below the cap re-enters them.
@@ -459,7 +427,7 @@ impl SlotState {
     }
 }
 
-/// Mode memory for [`FleetNegotiator::negotiate_within_incremental`]:
+/// Mode memory for [`FleetNegotiator::negotiate`]:
 /// transitions between uncontended and contended windows are the only
 /// points where grants must be reconciled fleet-wide.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -477,19 +445,17 @@ enum NegotiationMode {
 ///
 /// Two entry points compute identical grants:
 ///
-/// * [`FleetNegotiator::negotiate`] / [`negotiate_within`] — stateless,
-///   from scratch, `O(fleet)` per call; the oracle the proptests compare
-///   against.
-/// * [`FleetNegotiator::negotiate_within_incremental`] — warm-started from
-///   the previous window's state, `O(changed shards + executor moves)` per
-///   call and allocation-free when nothing changed; what [`FleetDriver`]
-///   runs every window.
+/// * [`FleetNegotiator::negotiate`] — warm-started from the previous
+///   window's state, `O(changed shards + executor moves)` per call and
+///   allocation-free when nothing changed; what [`FleetDriver`] runs every
+///   window. Grants are read back through [`FleetNegotiator::grants`].
+/// * [`FleetNegotiator::negotiate_scratch`] — stateless, from scratch,
+///   `O(fleet)` per call; the oracle the proptests compare against, and
+///   the driver's gate-aware re-offer round.
 ///
 /// The warm state is a pure cache: any warm position converges to the same
 /// bit-identical grants a cold run computes, so checkpoint clones,
 /// mid-sequence errors and restores are all safe.
-///
-/// [`negotiate_within`]: FleetNegotiator::negotiate_within
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct FleetNegotiator {
     k_max: u32,
@@ -500,7 +466,7 @@ pub struct FleetNegotiator {
     /// Frontier steps, best first (lazy, stamped — see [`WarmEntry`]).
     ascent: std::collections::BinaryHeap<Ascend>,
     /// Taken steps, weakest first (lazy, stamped).
-    descent: std::collections::BinaryHeap<Descend>,
+    descent: std::collections::BinaryHeap<Reverse<Ascend>>,
     sum_floor: u64,
     sum_desired: u64,
     sum_taken: u64,
@@ -543,18 +509,12 @@ impl FleetNegotiator {
         self.k_max
     }
 
-    /// Arbitrates `demands` within the full budget.
-    ///
-    /// # Errors
-    ///
-    /// See [`FleetNegotiator::negotiate_within`].
-    pub fn negotiate(&self, demands: &[ShardDemand]) -> Result<Vec<ShardGrant>, FleetError> {
-        self.negotiate_within(self.k_max, demands)
-    }
-
-    /// Arbitrates `demands` within an explicitly reduced budget (used by
-    /// the driver when part of `Kmax` is reserved for shards that carry no
-    /// usable model yet).
+    /// From-scratch arbitration of `demands` within `budget` — the oracle
+    /// the warm [`FleetNegotiator::negotiate`] must match, and the round
+    /// the driver's gate-aware re-offer runs. Demands are borrowed, so
+    /// excluding held shards costs a reference each instead of a deep
+    /// `ShardDemand` copy. `budget` may be below `Kmax` (the driver
+    /// reserves the executors of shards that carry no usable model yet).
     ///
     /// When the desired totals fit the budget every shard is granted
     /// exactly its desired allocation — the fleet schedule *equals* the
@@ -578,19 +538,7 @@ impl FleetNegotiator {
     ///   network.
     /// * [`FleetError::InsufficientBudget`] — the minimum stable
     ///   allocations alone exceed `budget`.
-    pub fn negotiate_within(
-        &self,
-        budget: u32,
-        demands: &[ShardDemand],
-    ) -> Result<Vec<ShardGrant>, FleetError> {
-        let refs: Vec<&ShardDemand> = demands.iter().collect();
-        Self::negotiate_scratch(budget, &refs)
-    }
-
-    /// The from-scratch arbitration over *borrowed* demands — the form the
-    /// gate-aware re-offer round uses, so excluding held shards costs a
-    /// reference each instead of a deep `ShardDemand` copy.
-    pub(crate) fn negotiate_scratch(
+    pub fn negotiate_scratch(
         budget: u32,
         demands: &[&ShardDemand],
     ) -> Result<Vec<ShardGrant>, FleetError> {
@@ -698,15 +646,15 @@ impl FleetNegotiator {
     }
 
     /// The grants computed by the last successful
-    /// [`FleetNegotiator::negotiate_within_incremental`] call, indexed like
-    /// the demand slice it was given. Unspecified (possibly stale) after an
-    /// `Err` — callers must not actuate grants from a failed round.
+    /// [`FleetNegotiator::negotiate`] call, indexed like the demand slice
+    /// it was given. Unspecified (possibly stale) after an `Err` — callers
+    /// must not actuate grants from a failed round.
     pub fn grants(&self) -> &[ShardGrant] {
         &self.grants
     }
 
     /// Incremental warm-start arbitration: computes exactly what
-    /// [`FleetNegotiator::negotiate_within`] would return for `budget` and
+    /// [`FleetNegotiator::negotiate_scratch`] would return for `budget` and
     /// `demands` — bit-identical allocations and `capped` flags, the
     /// proptests pin it — but in `O(changed shards + executor moves)` by
     /// reusing the previous window's state, and without a single heap
@@ -744,13 +692,9 @@ impl FleetNegotiator {
     /// # Errors
     ///
     /// The same errors, in the same precedence, as
-    /// [`FleetNegotiator::negotiate_within`]. A failed call leaves the
+    /// [`FleetNegotiator::negotiate_scratch`]. A failed call leaves the
     /// cache consistent: the next successful call converges as usual.
-    pub fn negotiate_within_incremental(
-        &mut self,
-        budget: u32,
-        demands: &[ShardDemand],
-    ) -> Result<(), FleetError> {
+    pub fn negotiate(&mut self, budget: u32, demands: &[ShardDemand]) -> Result<(), FleetError> {
         debug_assert!(u32::try_from(demands.len()).is_ok());
         // Slots beyond the end of the demand slice retire (fleet shrank or
         // re-packed); their heap entries die by the slot-index bound check.
@@ -927,8 +871,11 @@ impl FleetNegotiator {
                 break;
             }
         }
+        // Exchange while a frontier step of a below-cap shard strictly
+        // precedes a taken step in the greedy order: the warm state is not
+        // yet the greedy equilibrium.
         while let (Some(f), Some(a)) = (self.clean_ascent_top(), self.clean_descent_top()) {
-            if !outranks(&f, &a) {
+            if Ascend(f) <= Ascend(a) {
                 break;
             }
             self.revoke_weakest();
@@ -963,9 +910,9 @@ impl FleetNegotiator {
     /// smaller op: the [`Ascend`] order restricted to one slot. The slot
     /// thus holds the top of its own δ streams, the same shape every
     /// global take/revoke preserves, so the fix-up in
-    /// [`FleetNegotiator::negotiate_within_incremental`] only moves the
-    /// executors whose rank across slots actually shifted instead of
-    /// re-climbing the whole slot through the global heaps. Finally the
+    /// [`FleetNegotiator::negotiate`] only moves the executors whose rank
+    /// across slots actually shifted instead of re-climbing the whole slot
+    /// through the global heaps. Finally the
     /// slot's frontier steps (unless it sits at its cap) and weakest taken
     /// steps enter the heaps, one of each per op.
     fn rebuild_slot(&mut self, i: usize) {
@@ -1051,7 +998,7 @@ impl FleetNegotiator {
     /// step, returning it un-popped.
     fn clean_descent_top(&mut self) -> Option<WarmEntry> {
         loop {
-            let e = self.descent.peek()?.0;
+            let e = self.descent.peek()?.0 .0;
             if !self.entry_live(&e) {
                 self.descent.pop();
                 continue;
@@ -1077,10 +1024,10 @@ impl FleetNegotiator {
             self.ascent.push(Ascend(entry));
         }
         if let Some(&top) = slot.taken[op].last() {
-            self.descent.push(Descend(WarmEntry {
+            self.descent.push(Reverse(Ascend(WarmEntry {
                 delta: top,
                 ..entry
-            }));
+            })));
         }
     }
 
@@ -1181,10 +1128,10 @@ impl FleetNegotiator {
         }
         if self.descent.len() > cap {
             let heap = std::mem::take(&mut self.descent);
-            let live: Vec<Descend> = heap
+            let live: Vec<Reverse<Ascend>> = heap
                 .into_vec()
                 .into_iter()
-                .filter(|e| self.entry_live(&e.0))
+                .filter(|e| self.entry_live(&e.0 .0))
                 .collect();
             self.descent = std::collections::BinaryHeap::from(live);
         }
@@ -2199,9 +2146,7 @@ impl<B: CspBackend> FleetDriver<B> {
                 // `make_mut` only clones when a checkpoint still shares
                 // the warm state; a driver that never branched mutates in
                 // place with no per-window cost.
-                match Arc::make_mut(&mut self.negotiator)
-                    .negotiate_within_incremental(budget, &scratch.demands)
-                {
+                match Arc::make_mut(&mut self.negotiator).negotiate(budget, &scratch.demands) {
                     Ok(()) => {
                         scratch.negotiated_ok = true;
                         let grants = self.negotiator.grants();
@@ -2838,11 +2783,25 @@ mod tests {
         }
     }
 
+    /// Negotiates `demands` within `budget` on both entry points — warm on
+    /// a fresh negotiator and from scratch — asserts they agree, and
+    /// returns the result.
+    fn negotiate(budget: u32, demands: &[ShardDemand]) -> Result<Vec<ShardGrant>, FleetError> {
+        let refs: Vec<&ShardDemand> = demands.iter().collect();
+        let scratch = FleetNegotiator::negotiate_scratch(budget, &refs);
+        let mut negotiator = FleetNegotiator::new(budget);
+        let warm = negotiator
+            .negotiate(budget, demands)
+            .map(|()| negotiator.grants().to_vec());
+        assert_eq!(warm, scratch, "warm and from-scratch negotiation differ");
+        scratch
+    }
+
     #[test]
     fn uncontended_grants_equal_single_topology_schedules() {
-        let negotiator = FleetNegotiator::new(20);
+        let budget = 20;
         let demands = vec![demand(40.0, 10.0, vec![6]), demand(20.0, 10.0, vec![4])];
-        let grants = negotiator.negotiate(&demands).unwrap();
+        let grants = negotiate(budget, &demands).unwrap();
         assert_eq!(grants[0].allocation, vec![6]);
         assert_eq!(grants[1].allocation, vec![4]);
         assert!(grants.iter().all(|g| !g.capped));
@@ -2850,10 +2809,10 @@ mod tests {
 
     #[test]
     fn contended_grants_spend_exactly_the_budget() {
-        let negotiator = FleetNegotiator::new(12);
+        let budget = 12;
         // Desired 9 + 7 = 16 > 12; min stable 5 + 3 = 8 ≤ 12.
         let demands = vec![demand(45.0, 10.0, vec![9]), demand(25.0, 10.0, vec![7])];
-        let grants = negotiator.negotiate(&demands).unwrap();
+        let grants = negotiate(budget, &demands).unwrap();
         let total: u64 = grants.iter().map(ShardGrant::total).sum();
         assert_eq!(total, 12);
         // Nobody below the minimum stable allocation.
@@ -2865,20 +2824,20 @@ mod tests {
 
     #[test]
     fn contention_favours_the_higher_marginal_benefit() {
-        let negotiator = FleetNegotiator::new(10);
+        let budget = 10;
         // Same service law; shard 0 carries 3x the traffic, so its marginal
         // benefits dominate and it must end up with the bigger share.
         let demands = vec![demand(60.0, 10.0, vec![10]), demand(20.0, 10.0, vec![8])];
-        let grants = negotiator.negotiate(&demands).unwrap();
+        let grants = negotiate(budget, &demands).unwrap();
         assert!(grants[0].allocation[0] > grants[1].allocation[0]);
     }
 
     #[test]
     fn insufficient_budget_detected() {
-        let negotiator = FleetNegotiator::new(6);
+        let budget = 6;
         // Min stables: 5 + 3 = 8 > 6.
         let demands = vec![demand(45.0, 10.0, vec![9]), demand(25.0, 10.0, vec![7])];
-        let err = negotiator.negotiate(&demands).unwrap_err();
+        let err = negotiate(budget, &demands).unwrap_err();
         assert_eq!(
             err,
             FleetError::InsufficientBudget {
@@ -2892,16 +2851,14 @@ mod tests {
     fn desired_below_min_stable_is_raised_in_both_branches() {
         // λ/µ = 4.5 needs 5 executors; a demand of 1 is unstable and must
         // be floored at 5 — with room to spare (uncontended path)…
-        let negotiator = FleetNegotiator::new(20);
-        let grants = negotiator
-            .negotiate(&[demand(45.0, 10.0, vec![1])])
-            .unwrap();
+        let budget = 20;
+        let grants = negotiate(budget, &[demand(45.0, 10.0, vec![1])]).unwrap();
         assert_eq!(grants[0].allocation, vec![5]);
         assert!(!grants[0].capped);
         // …and under contention (second shard forces the greedy branch).
-        let negotiator = FleetNegotiator::new(9);
+        let budget = 9;
         let demands = vec![demand(45.0, 10.0, vec![1]), demand(25.0, 10.0, vec![7])];
-        let grants = negotiator.negotiate(&demands).unwrap();
+        let grants = negotiate(budget, &demands).unwrap();
         assert!(grants[0].allocation[0] >= 5);
         let total: u64 = grants.iter().map(ShardGrant::total).sum();
         assert_eq!(total, 9);
@@ -2909,24 +2866,24 @@ mod tests {
 
     #[test]
     fn demand_length_mismatch_detected() {
-        let negotiator = FleetNegotiator::new(10);
+        let budget = 10;
         let demands = vec![demand(10.0, 10.0, vec![2, 2])];
         assert!(matches!(
-            negotiator.negotiate(&demands).unwrap_err(),
+            negotiate(budget, &demands).unwrap_err(),
             FleetError::DemandLength { shard: 0, .. }
         ));
     }
 
     #[test]
     fn negotiation_is_deterministic() {
-        let negotiator = FleetNegotiator::new(14);
+        let budget = 14;
         let demands = vec![
             demand(45.0, 10.0, vec![9]),
             demand(45.0, 10.0, vec![9]),
             demand(25.0, 10.0, vec![7]),
         ];
-        let a = negotiator.negotiate(&demands).unwrap();
-        let b = negotiator.negotiate(&demands).unwrap();
+        let a = negotiate(budget, &demands).unwrap();
+        let b = negotiate(budget, &demands).unwrap();
         assert_eq!(a, b);
     }
 
@@ -2966,7 +2923,7 @@ mod tests {
         let budget = u32::try_from(floors + (desired - floors) * 3 / 5).unwrap();
 
         let mut warm = FleetNegotiator::new(budget);
-        warm.negotiate_within_incremental(budget, &demands).unwrap();
+        warm.negotiate(budget, &demands).unwrap();
         for d in &mut demands {
             let pairs: Vec<(f64, f64)> = d
                 .network
@@ -2981,7 +2938,7 @@ mod tests {
         }
         let reseated = warm.sum_taken;
         let moves_before = warm.fixup_moves;
-        warm.negotiate_within_incremental(budget, &demands).unwrap();
+        warm.negotiate(budget, &demands).unwrap();
         let refs: Vec<&ShardDemand> = demands.iter().collect();
         assert_eq!(
             warm.grants(),

@@ -23,8 +23,10 @@
 //!    [`placement`] module turns the count schedule into a machine
 //!    assignment: a [`placement::MachinePool`] of capacity vectors, operator
 //!    [`drs_topology::ResourceProfile`]s, and a solver minimising
-//!    cross-machine traffic (R-Storm style) that rides along in every
-//!    [`driver::RebalancePlan`].
+//!    cross-machine traffic (R-Storm style). The [`fleet::FleetDriver`]
+//!    runs it per shard and ships the result in each
+//!    [`driver::RebalancePlan`]; [`fleet::ShardPlacementInfo`] carries a
+//!    shard's profiles and edges.
 //!
 //! The [`controller::DrsController`] wires these together behind a single
 //! `on_window` call; the measurement side (two-level sampling and smoothing,
@@ -68,7 +70,6 @@ pub mod decision;
 pub mod driver;
 pub mod fleet;
 pub mod measurer;
-pub mod migration;
 pub mod model;
 pub mod negotiator;
 pub mod placement;
@@ -79,14 +80,13 @@ pub use controller::{ControlAction, DrsController, LogEntry};
 pub use decision::{Decision, DecisionPolicy};
 pub use driver::{
     ActuationRetry, AppliedRebalance, BackendError, CspBackend, DriverError, DrsDriver,
-    OperatorSample, PlacementSpec, RebalancePlan, TimelinePoint, WindowSample,
+    OperatorSample, RebalancePlan, TimelinePoint, WindowSample,
 };
 pub use fleet::{
     FleetCheckpoint, FleetDriver, FleetDriverConfig, FleetNegotiator, FleetShardSpec, FleetWindow,
     ShardDemand, ShardGrant, ShardPlacementInfo, ShardPoint,
 };
 pub use measurer::{Measurer, RawSample, SampleBuilder, SmoothedEstimates, Smoothing};
-pub use migration::{plan_migration, MigrationPlan, TaskAssignment};
 pub use model::{ModelInputs, OperatorRates, PerformanceModel};
 pub use negotiator::{MachinePool, MachinePoolConfig, NegotiationPlan};
 // `placement::MachinePool` (capacity vectors) deliberately stays behind its

@@ -125,9 +125,9 @@ proptest! {
             .zip(&desired)
             .map(|(net, d)| ShardDemand { network: net.clone(), desired: d.clone() })
             .collect();
-        let negotiator = FleetNegotiator::new(k_max);
+        let refs: Vec<&ShardDemand> = demands.iter().collect();
 
-        match negotiator.negotiate(&demands) {
+        match FleetNegotiator::negotiate_scratch(k_max, &refs) {
             Err(e) => {
                 // The only legitimate failure: even stability does not fit.
                 prop_assert!(
@@ -369,9 +369,10 @@ proptest! {
                          demands: &[ShardDemand],
                          window: usize|
          -> Result<(), TestCaseError> {
-            let scratch = FleetNegotiator::new(budget).negotiate_within(budget, demands);
+            let refs: Vec<&ShardDemand> = demands.iter().collect();
+            let scratch = FleetNegotiator::negotiate_scratch(budget, &refs);
             let incremental = warm
-                .negotiate_within_incremental(budget, demands)
+                .negotiate(budget, demands)
                 .map(|()| warm.grants().to_vec());
             prop_assert_eq!(
                 incremental,

@@ -37,10 +37,14 @@
 //! whole struct tree is `Clone`, so a checkpointed fleet snapshots its
 //! in-flight messages and RNG state too).
 //!
-//! The coordinator-facing wrapper lives in
-//! [`crate::fleet::FaultyFleetCoordinator`]; named scenario matrices
-//! (`lossy`, `laggy`, `partition`, `churn`, `crash-storm`) are exposed by
-//! `repro fleet --faults` in `crates/bench`.
+//! A fault-injected fleet is a
+//! [`drs_core::fleet::FleetDriver`]`<FaultyShard<Simulator>>`: the driver
+//! reaches each shard's fault log through
+//! [`FleetDriver::backend`](drs_core::fleet::FleetDriver::backend) and
+//! schedules crashes through
+//! [`FleetDriver::backend_mut`](drs_core::fleet::FleetDriver::backend_mut).
+//! Named scenario matrices (`lossy`, `laggy`, `partition`, `churn`,
+//! `crash-storm`) are exposed by `repro fleet --faults` in `crates/bench`.
 
 use crate::calendar::CalendarQueue;
 use drs_core::driver::{

@@ -27,11 +27,29 @@
 //! * **tuple-tree acking** lives in a slab with a free list and recycled
 //!   dense `u32` slot ids — no per-root allocation or hashing.
 //!
-//! The same structures back the sharded multi-topology
-//! [`fleet::FleetCoordinator`], so fleet stepping inherits the O(1) event
-//! scheduling per shard. `repro perf` benchmarks the calendar queue against
-//! a binary-heap reference at 10⁴–10⁶ pending events and records the result
-//! in `BENCH_PERF.json`, which CI gates via `repro perfdiff`.
+//! `repro perf` benchmarks the calendar queue against a binary-heap
+//! reference at 10⁴–10⁶ pending events and records the result in
+//! `BENCH_PERF.json`, which CI gates via `repro perfdiff`.
+//!
+//! # Fleets
+//!
+//! A [`Simulator`] is a plain [`drs_core::driver::CspBackend`], so a
+//! sharded multi-topology fleet is just
+//! [`drs_core::fleet::FleetDriver`]`<Simulator>`: N independent shards —
+//! one topology each, every one on its **own virtual clock** with its own
+//! RNG — under a single global processor budget `Kmax`. Shards may be
+//! advanced in any order within a window
+//! ([`FleetDriver::step_with_order`](drs_core::fleet::FleetDriver::step_with_order))
+//! without changing any shard's measurements, and
+//! [`FleetDriver::backend_mut`](drs_core::fleet::FleetDriver::backend_mut)
+//! is the hook for mid-run workload drift
+//! ([`Simulator::set_spout_interarrival`], [`Simulator::set_bolt_service`]).
+//! Every shard inherits the O(1) event scheduling above, and overrides the
+//! `*_into` backend hooks to fill the driver's reusable buffers in place,
+//! so a settled fleet runs its steady-state window without heap
+//! allocation regardless of shard count. The `drs` facade crate's docs
+//! walk through a two-shard fleet, and `tests/fleet_determinism.rs` pins
+//! clock isolation, budget capping, placement and drift.
 //!
 //! # Degraded control plane
 //!
@@ -41,8 +59,9 @@
 //! jitter (quantized to measurement windows, delivered through the same
 //! calendar queue and therefore naturally reordered), duplication, ack
 //! loss, scheduled partitions with heal times, and machine-failure
-//! crashes. [`fleet::FaultyFleetCoordinator`] routes every measurement
-//! report and actuation command through those channels, while
+//! crashes. A [`drs_core::fleet::FleetDriver`]`<`[`FaultyShard`]`<Simulator>>`
+//! routes every measurement report and actuation command through those
+//! channels, while
 //! `drs_core::fleet` supplies the hardening that makes the loop converge
 //! anyway: actuation epochs (stale/duplicate commands rejected),
 //! capped-backoff retry on unacknowledged actuations, age-weighted stale
@@ -97,7 +116,6 @@ pub mod backend;
 pub mod calendar;
 pub mod event;
 pub mod faults;
-pub mod fleet;
 pub mod metrics;
 pub mod simulator;
 pub mod time;
@@ -106,7 +124,6 @@ pub mod workload;
 pub use faults::{
     ControlChannel, FaultEvent, FaultKind, FaultyShard, LinkFaults, Partition, WindowJitter,
 };
-pub use fleet::{FaultyFleetCoordinator, FleetCoordinator};
 pub use metrics::{MeasurementWindow, OperatorWindow, RunningStats};
 pub use simulator::{SimError, SimulationBuilder, Simulator};
 pub use time::{SimDuration, SimTime};

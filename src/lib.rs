@@ -52,21 +52,20 @@
 //! # Fleet mode: many topologies, one budget
 //!
 //! A production cluster runs many topologies competing for one machine
-//! pool. The [`sim::fleet::FleetCoordinator`] runs N independent simulator
-//! shards (one topology each, every one on its own virtual clock) under a
-//! single global budget `Kmax`; each window every shard computes its own
-//! Program 6 schedule and the [`core::fleet::FleetNegotiator`] arbitrates
-//! contention with the paper's max-marginal-benefit rule applied *across*
-//! topologies. When total demand fits the budget every shard gets exactly
-//! its single-topology schedule; when it does not, plans are capped (never
-//! below a shard's minimum stable allocation) and capacity freed by a
-//! shard whose load drops is re-offered to starved shards on the next
-//! window:
+//! pool. A [`core::fleet::FleetDriver`] over [`sim::Simulator`] shards
+//! runs N independent simulators (one topology each, every one on its own
+//! virtual clock) under a single global budget `Kmax`; each window every
+//! shard computes its own Program 6 schedule and the
+//! [`core::fleet::FleetNegotiator`] arbitrates contention with the paper's
+//! max-marginal-benefit rule applied *across* topologies. When total
+//! demand fits the budget every shard gets exactly its single-topology
+//! schedule; when it does not, plans are capped (never below a shard's
+//! minimum stable allocation) and capacity freed by a shard whose load
+//! drops is re-offered to starved shards on the next window:
 //!
 //! ```
-//! use drs::core::fleet::{FleetDriverConfig, FleetShardSpec};
+//! use drs::core::fleet::{FleetDriver, FleetDriverConfig, FleetShardSpec};
 //! use drs::queueing::distribution::Distribution;
-//! use drs::sim::fleet::FleetCoordinator;
 //! use drs::sim::workload::OperatorBehavior;
 //! use drs::sim::SimulationBuilder;
 //! use drs::topology::TopologyBuilder;
@@ -91,7 +90,7 @@
 //! };
 //! let mut config = FleetDriverConfig::new(10); // Kmax across BOTH shards
 //! config.window_secs = 30.0;
-//! let mut fleet = FleetCoordinator::new(config, vec![
+//! let mut fleet = FleetDriver::new(config, vec![
 //!     FleetShardSpec::new("hot", 0.12, chain(45.0, 1)),
 //!     FleetShardSpec::new("cold", 0.12, chain(25.0, 2)),
 //! ])?;
@@ -117,7 +116,7 @@
 //! Program 6 decides *how many* executors each operator gets; the
 //! [`core::placement`] layer decides *where they run*. A
 //! [`core::placement::MachinePool`] describes per-machine capacity as a
-//! cpu/mem/net [`core::placement::ResourceProfile`]; the R-Storm-style
+//! cpu/mem/net [`topology::ResourceProfile`]; the R-Storm-style
 //! greedy solver packs executors so heavily-trafficked edges stay on one
 //! machine without any machine exceeding capacity. Shuffle grouping sends
 //! each tuple to a uniformly random downstream executor, so the expected
